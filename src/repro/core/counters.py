@@ -319,6 +319,18 @@ class CounterSet:
         self._snap_base: Dict[str, float] = {}
 
     @property
+    def overhead(self) -> CounterOverheadModel:
+        return self._overhead
+
+    @overhead.setter
+    def overhead(self, model: CounterOverheadModel) -> None:
+        self._overhead = model
+        #: Cost of one simple-counter update, 0 when that family is off.
+        #: The datapath charges ``(2.0 * pkts) * simple_cost_s`` inline:
+        #: the same value ``cost_for(2.0 * pkts, 0.0)`` returns.
+        self.simple_cost_s = model.simple_update_cost_s if model.enabled_simple else 0.0
+
+    @property
     def version(self) -> int:
         """Monotonic mutation counter; advances on every datapath update."""
         return self._version
@@ -330,14 +342,14 @@ class CounterSet:
         self.rx_pkts += pkts
         self.rx_bytes += nbytes
         self._version += 1
-        self._charge(simple=2.0 * pkts)
+        self._pending_update_cost_s += (2.0 * pkts) * self.simple_cost_s
 
     def count_tx(self, pkts: float, nbytes: float) -> None:
         """Record traffic emitted by the element's output method."""
         self.tx_pkts += pkts
         self.tx_bytes += nbytes
         self._version += 1
-        self._charge(simple=2.0 * pkts)
+        self._pending_update_cost_s += (2.0 * pkts) * self.simple_cost_s
 
     def count_drop(
         self, location: str, pkts: float, nbytes: float, flow_id: Optional[str] = None
@@ -348,22 +360,19 @@ class CounterSet:
         if flow_id is not None:
             self.drops_by_flow[flow_id] = self.drops_by_flow.get(flow_id, 0.0) + pkts
         self._version += 1
-        self._charge(simple=2.0 * pkts)
+        self._pending_update_cost_s += (2.0 * pkts) * self.simple_cost_s
 
     def count_in_time(self, elapsed_s: float, calls: float = 1.0) -> None:
         self.in_time.add(elapsed_s, calls)
         self._version += 1
-        self._charge(time=calls)
+        self._pending_update_cost_s += self.overhead.cost_for(0.0, calls)
 
     def count_out_time(self, elapsed_s: float, calls: float = 1.0) -> None:
         self.out_time.add(elapsed_s, calls)
         self._version += 1
-        self._charge(time=calls)
+        self._pending_update_cost_s += self.overhead.cost_for(0.0, calls)
 
     # -- overhead accounting -------------------------------------------------
-
-    def _charge(self, simple: float = 0.0, time: float = 0.0) -> None:
-        self._pending_update_cost_s += self.overhead.cost_for(simple, time)
 
     def drain_update_cost(self) -> float:
         """Return and clear the CPU-seconds owed for counter updates.

@@ -77,15 +77,21 @@ class Napi(Element):
         self.out = vswitch_submit
 
     def begin_tick(self, sim):
-        if self.in_buf is None:
+        buf = self.in_buf
+        if buf is None:
             return
-        pkts = self.in_buf.pkts
-        nbytes = self.in_buf.nbytes
-        self._overhead_owed_s += self.counters.drain_update_cost()
+        pkts = buf.pkts
+        nbytes = buf.nbytes
+        counters = self.counters
+        owed = self._overhead_owed_s + counters._pending_update_cost_s
+        counters._pending_update_cost_s = 0.0
+        self._overhead_owed_s = owed
         for c in self.claims:
-            demand = c.demand_for(pkts, nbytes)
+            demand = c.per_pkt * pkts + c.per_byte * nbytes
             if c.is_cpu:
-                demand += self._overhead_owed_s
-                demand = min(demand, self.max_cores * sim.tick)
+                demand += owed
+                cores = self.max_cores * sim.tick
+                if cores < demand:
+                    demand = cores
             if demand > 0:
                 c.resource.request(self.name, demand, c.weight, c.priority)

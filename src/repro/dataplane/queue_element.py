@@ -91,10 +91,12 @@ class QueueElement(Element):
         Offered traffic counts as element input even when it is about to
         be dropped — that is what makes (in - out) equal the loss here.
         """
-        if batch.empty:
+        pkts = batch.pkts
+        nbytes = batch.nbytes
+        if pkts <= 1e-12 and nbytes <= 1e-9:  # batch.empty
             return batch
-        self.counters.count_rx(batch.pkts, batch.nbytes)
-        if self._ingest_left < batch.nbytes:
+        self.counters.count_rx(pkts, nbytes)
+        if self._ingest_left < nbytes:
             # Admit the front of the batch up to the line-rate budget and
             # drop the rest at this element's location (through the
             # regular drop handler, so lost TCP segments are re-credited
@@ -104,9 +106,10 @@ class QueueElement(Element):
             if not overflow.empty:
                 self._on_buffer_drop(self.location, overflow)
             batch = admitted
-        if batch.empty:
-            return batch
-        self._ingest_left -= batch.nbytes
+            if batch.empty:
+                return batch
+            nbytes = batch.nbytes
+        self._ingest_left -= nbytes
         for cc in self.custom_counters:
             cc.observe(batch)
             self._overhead_owed_s += cc.update_cost_s
@@ -124,6 +127,12 @@ class QueueElement(Element):
     def process_tick(self, sim: Simulator) -> None:
         if self.drain:
             super().process_tick(sim)
+
+    def plan_hooks(self):
+        begin, mid, process, end = super().plan_hooks()
+        if not self.drain and type(self).process_tick is QueueElement.process_tick:
+            process = False  # passive: an external consumer pops the queue
+        return begin, mid, process, end
 
     # -- views -------------------------------------------------------------------------
 

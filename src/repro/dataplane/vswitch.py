@@ -108,31 +108,30 @@ class VirtualSwitch(Element):
 
     def submit(self, batch: PacketBatch) -> None:
         """Frame-handling entry point (called by NAPI, function-call style)."""
-        if batch.empty:
+        pkts = batch.pkts
+        nbytes = batch.nbytes
+        if pkts <= 1e-12 and nbytes <= 1e-9:  # batch.empty
             return
-        self.counters.count_rx(batch.pkts, batch.nbytes)
-        rule = self._lookup(batch)
-        if rule is None:
+        counters = self.counters
+        counters.count_rx(pkts, nbytes)
+        for rule in self._rules:
+            if rule.matches(batch):
+                break
+        else:
             # Routed through the standard drop handler so lost TCP
             # segments are re-credited to their senders.
             self._on_buffer_drop(f"{self.name}.no_rule", batch)
             return
-        rule.pkts += batch.pkts
-        rule.nbytes += batch.nbytes
+        rule.pkts += pkts
+        rule.nbytes += nbytes
         target = self._ports[rule.out_port]
         if isinstance(target, Buffer):
             accepted = target.push(batch)
             if not accepted.empty:
-                self.counters.count_tx(accepted.pkts, accepted.nbytes)
+                counters.count_tx(accepted.pkts, accepted.nbytes)
         else:
-            self.counters.count_tx(batch.pkts, batch.nbytes)
+            counters.count_tx(pkts, nbytes)
             target(batch)
-
-    def _lookup(self, batch: PacketBatch) -> Optional[Rule]:
-        for rule in self._rules:
-            if rule.matches(batch):
-                return rule
-        return None
 
     # -- agent-facing ------------------------------------------------------------------
 

@@ -172,31 +172,45 @@ class App(Element):
         """
         if cpu_bound:
             return tick
-        speed = min(1.0, self.vm.vcpu.capacity_per_s)
+        speed = self.vm.vcpu.capacity_per_s
+        if not speed < 1.0:
+            speed = 1.0
         if speed <= 0:
             return tick
-        return min(tick, cpu_used / speed)
+        busy = cpu_used / speed
+        return busy if busy < tick else tick
 
     # -- per-tick protocol -----------------------------------------------------------------
 
+    # The hooks below follow the same rules as Element's (see
+    # repro.simnet.element): grants and counter charges inline, min/max
+    # as comparisons, float operand order unchanged.
+
     def begin_tick(self, sim: Simulator) -> None:
-        self._overhead_owed_s += self.counters.drain_update_cost()
-        demand = self._cpu_demand(sim) + self._overhead_owed_s
+        counters = self.counters
+        owed = self._overhead_owed_s + counters._pending_update_cost_s
+        counters._pending_update_cost_s = 0.0
+        self._overhead_owed_s = owed
+        demand = self._cpu_demand(sim) + owed
         self._demand_requested = demand
         # An app cannot burn more than a whole vCPU-tick of CPU.
-        demand = min(demand, self.vm.vcpu.capacity_per_s * sim.tick)
+        vcpu = self.vm.vcpu
+        cap = vcpu.capacity_per_s * sim.tick
+        if cap < demand:
+            demand = cap
         if demand > 0:
-            self.vm.vcpu.request(self.name, demand, weight=1.0)
+            vcpu.request(self.name, demand, 1.0)
 
     def _cpu_demand(self, sim: Simulator) -> float:
         """CPU the app would use this tick if nothing blocked it."""
         return self._cpu_cost(self.socket.ready_bytes)
 
     def process_tick(self, sim: Simulator) -> None:
-        grant = self.vm.vcpu.grant(self.name)
-        pay = min(grant, self._overhead_owed_s)
+        grant = self.vm.vcpu._grants.get(self.name, 0.0)
+        owed = self._overhead_owed_s
+        pay = owed if owed < grant else grant
         grant -= pay
-        self._overhead_owed_s -= pay
+        self._overhead_owed_s = owed - pay
         self._grant = grant
         self.run_app(sim, grant)
 
@@ -207,33 +221,37 @@ class App(Element):
         tick = sim.tick
         ready = self.socket.ready_bytes
         proc_cap = self._bytes_for_cpu(cpu_grant)
-        avail = max(0.0, min(ready, proc_cap))
+        avail = proc_cap if proc_cap < ready else ready
+        avail = avail if avail > 0.0 else 0.0
 
         takes = self._plan_outputs(avail)
         n = sum(t for _, t in takes) if self.outputs else avail
 
         # Move the data.
         read_bytes = 0.0
+        io_in = 0.0
         if n > 0:
             for batch in self.socket.read(n):
                 read_bytes += batch.nbytes
-            self.counters.count_rx(self._io_calls(read_bytes), read_bytes)
+            io_in = self._io_calls(read_bytes)
+            self.counters.count_rx(io_in, read_bytes)
         written = self._write_outputs(read_bytes, n, takes)
-        self._count_written(written)
+        io_out = self._io_calls(written)
+        if written > 0:
+            self.counters.count_tx(io_out, written)
 
         # Time accounting.
         t_memcpy_in = read_bytes / self.memcpy_bps
         t_memcpy_out = written / self.memcpy_bps
         cpu_used = self._cpu_cost(read_bytes)
         # Which constraint bound this tick's work?
-        output_bound = bool(self.outputs) and n < avail - _REL * max(avail, 1.0)
-        cpu_bound = (not output_bound) and proc_cap < ready - _REL * max(ready, 1.0)
+        output_bound = bool(self.outputs) and n < avail - _REL * (1.0 if 1.0 > avail else avail)
+        cpu_bound = (not output_bound) and proc_cap < ready - _REL * (1.0 if 1.0 > ready else ready)
         t_proc = self._wall_proc_time(cpu_used, cpu_bound, tick)
-        t_sys_in = self._io_calls(read_bytes) * self.syscall_s
-        t_sys_out = self._io_calls(written) * self.syscall_s
-        leftover = max(
-            0.0, tick - t_memcpy_in - t_memcpy_out - t_proc - t_sys_in - t_sys_out
-        )
+        t_sys_in = io_in * self.syscall_s
+        t_sys_out = io_out * self.syscall_s
+        leftover = tick - t_memcpy_in - t_memcpy_out - t_proc - t_sys_in - t_sys_out
+        leftover = leftover if leftover > 0.0 else 0.0
 
         block_in = block_out = 0.0
         if output_bound:
@@ -244,8 +262,8 @@ class App(Element):
             block_in = leftover
         # else: CPU-bound; leftover is processing time (no block).
 
-        calls_in = self._io_calls(read_bytes) + (1.0 if block_in > 0 else 0.0)
-        calls_out = self._io_calls(written) + (1.0 if block_out > 0 else 0.0)
+        calls_in = io_in + (1.0 if block_in > 0 else 0.0)
+        calls_out = io_out + (1.0 if block_out > 0 else 0.0)
         if read_bytes > 0 or block_in > 0:
             self.counters.count_in_time(
                 t_memcpy_in + block_in + t_sys_in, calls=calls_in
@@ -313,10 +331,6 @@ class App(Element):
         snap["sock_ready_bytes"] = self.socket.ready_bytes
         return snap
 
-    def _count_written(self, nbytes: float) -> None:
-        if nbytes > 0:
-            self.counters.count_tx(self._io_calls(nbytes), nbytes)
-
 
 class RelayApp(App):
     """A middlebox that forwards (possibly transformed) traffic.
@@ -357,24 +371,30 @@ class SourceApp(App):
         if self.rate_bps is not None:
             self.total_offered_bytes += want
         proc_cap = self._bytes_for_cpu(cpu_grant)
-        avail = max(0.0, min(want, proc_cap))
+        avail = proc_cap if proc_cap < want else want
+        avail = avail if avail > 0.0 else 0.0
         takes = self._plan_outputs(avail)
         n = sum(t for _, t in takes) if self.outputs else 0.0
         written = self._write_outputs(n, n, takes)
-        self._count_written(written)
+        io_out = self._io_calls(written)
+        if written > 0:
+            self.counters.count_tx(io_out, written)
 
         t_memcpy_out = written / self.memcpy_bps
         cpu_used = self._cpu_cost(n)
-        output_bound = n < avail - _REL * max(avail if avail != float("inf") else n + 1.0, 1.0)
-        cpu_bound = (not output_bound) and proc_cap < want - _REL * max(min(want, 1e18), 1.0)
+        scale = avail if avail != float("inf") else n + 1.0
+        output_bound = n < avail - _REL * (1.0 if 1.0 > scale else scale)
+        scale = 1e18 if 1e18 < want else want
+        cpu_bound = (not output_bound) and proc_cap < want - _REL * (1.0 if 1.0 > scale else scale)
         t_proc = self._wall_proc_time(cpu_used, cpu_bound, tick)
-        t_sys = self._io_calls(written) * self.syscall_s
-        leftover = max(0.0, tick - t_memcpy_out - t_proc - t_sys)
+        t_sys = io_out * self.syscall_s
+        leftover = tick - t_memcpy_out - t_proc - t_sys
+        leftover = leftover if leftover > 0.0 else 0.0
         block_out = 0.0
         if output_bound:
             # Window/TX-queue limited (not our own CPU).
             block_out = leftover
-        calls = self._io_calls(written) + (1.0 if block_out > 0 else 0.0)
+        calls = io_out + (1.0 if block_out > 0 else 0.0)
         if written > 0 or block_out > 0:
             self.counters.count_out_time(t_memcpy_out + block_out + t_sys, calls=calls)
 
@@ -391,24 +411,28 @@ class SinkApp(App):
         tick = sim.tick
         ready = self.socket.ready_bytes
         proc_cap = self._bytes_for_cpu(cpu_grant)
-        n = max(0.0, min(ready, proc_cap))
+        n = proc_cap if proc_cap < ready else ready
         read_bytes = 0.0
         if n > 0:
             for batch in self.socket.read(n):
                 read_bytes += batch.nbytes
-            self.counters.count_rx(self._io_calls(read_bytes), read_bytes)
+            io_calls = self._io_calls(read_bytes)
+            self.counters.count_rx(io_calls, read_bytes)
             self.total_consumed_bytes += read_bytes
+        else:
+            io_calls = 0.0
 
         t_memcpy_in = read_bytes / self.memcpy_bps
         cpu_used = self._cpu_cost(read_bytes)
-        cpu_bound = proc_cap < ready - _REL * max(ready, 1.0)
+        cpu_bound = proc_cap < ready - _REL * (1.0 if 1.0 > ready else ready)
         t_proc = self._wall_proc_time(cpu_used, cpu_bound, tick)
-        t_sys = self._io_calls(read_bytes) * self.syscall_s
-        leftover = max(0.0, tick - t_memcpy_in - t_proc - t_sys)
+        t_sys = io_calls * self.syscall_s
+        leftover = tick - t_memcpy_in - t_proc - t_sys
+        leftover = leftover if leftover > 0.0 else 0.0
         block_in = 0.0
         if not cpu_bound:
             # Drained everything offered with CPU to spare: reads block.
             block_in = leftover
-        calls = self._io_calls(read_bytes) + (1.0 if block_in > 0 else 0.0)
+        calls = io_calls + (1.0 if block_in > 0 else 0.0)
         if read_bytes > 0 or block_in > 0:
             self.counters.count_in_time(t_memcpy_in + block_in + t_sys, calls=calls)

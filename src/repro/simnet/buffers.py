@@ -119,12 +119,14 @@ class Buffer:
     def space_pkts(self) -> float:
         if self.capacity_pkts is None:
             return float("inf")
-        return max(0.0, self.capacity_pkts - self.pkts)
+        room = self.capacity_pkts - (self._ready_pkts + self._staged_pkts)
+        return room if room > 0.0 else 0.0
 
     def space_bytes(self) -> float:
         if self.capacity_bytes is None:
             return float("inf")
-        return max(0.0, self.capacity_bytes - self.nbytes)
+        room = self.capacity_bytes - (self._ready_bytes + self._staged_bytes)
+        return room if room > 0.0 else 0.0
 
     @property
     def empty(self) -> bool:
@@ -146,51 +148,33 @@ class Buffer:
         the check is conservative (same-tick drains don't open room);
         pushing past capacity raises, since it is a wiring bug.
 
-        Returns the staged portion (the whole batch for drop buffers).
+        Returns the batch (crumbs are absorbed, not staged).
         """
-        if batch.empty or (batch.pkts < _CRUMB_PKTS and batch.nbytes < _CRUMB_BYTES):
+        pkts = batch.pkts
+        nbytes = batch.nbytes
+        # Crumbs (which include empty batches) are absorbed.
+        if pkts < _CRUMB_PKTS and nbytes < _CRUMB_BYTES:
             return batch
-        if self.policy == "drop":
-            self._staged.append(batch)
-            self._staged_pkts += batch.pkts
-            self._staged_bytes += batch.nbytes
-            self.total_in_pkts += batch.pkts
-            self.total_in_bytes += batch.nbytes
-            return batch
-        accept_pkts = min(batch.pkts, self.space_pkts())
-        accept_bytes = min(batch.nbytes, self.space_bytes())
-        # The binding constraint may be either axis; take the tighter one
-        # preserving the batch's pkt/byte ratio.
-        if batch.pkts > 0 and batch.nbytes > 0:
-            frac = min(
-                accept_pkts / batch.pkts if batch.pkts else 1.0,
-                accept_bytes / batch.nbytes if batch.nbytes else 1.0,
-            )
-        else:
-            frac = 1.0
-        frac = min(1.0, max(0.0, frac))
-        # Relative tolerance: float drift from fair-share splits must not
-        # trip the blocking-buffer wiring check.
-        if frac >= 1.0 - 1e-9:
-            accepted = batch
-            rejected = None
-        else:
-            if self.policy == "block":
+        if self.policy == "block" and pkts > 0 and nbytes > 0:
+            # The binding constraint may be either axis; the tighter one
+            # decides.  Relative tolerance: float drift from fair-share
+            # splits must not trip the wiring check.
+            space = self.space_pkts()
+            frac_pkts = (space if space < pkts else pkts) / pkts
+            space = self.space_bytes()
+            frac_bytes = (space if space < nbytes else nbytes) / nbytes
+            frac = frac_bytes if frac_bytes < frac_pkts else frac_pkts
+            if not frac >= 1.0 - 1e-9:
                 raise SimError(
                     f"push past capacity on blocking buffer {self.name!r} "
                     f"(batch={batch!r}); producers must check space first"
                 )
-            accepted = batch.split_pkts(batch.pkts * frac)
-            rejected = batch  # remainder after split
-        if not accepted.empty:
-            self._staged.append(accepted)
-            self._staged_pkts += accepted.pkts
-            self._staged_bytes += accepted.nbytes
-            self.total_in_pkts += accepted.pkts
-            self.total_in_bytes += accepted.nbytes
-        if rejected is not None and not rejected.empty:
-            self._record_drop(rejected)
-        return accepted
+        self._staged.append(batch)
+        self._staged_pkts += pkts
+        self._staged_bytes += nbytes
+        self.total_in_pkts += pkts
+        self.total_in_bytes += nbytes
+        return batch
 
     def _record_drop(self, batch: PacketBatch) -> None:
         self.total_drop_pkts += batch.pkts
@@ -218,41 +202,51 @@ class Buffer:
         out: List[PacketBatch] = []
         budget_p = max_pkts
         budget_b = max_bytes
-        while self._ready and budget_p > _EPS and budget_b > _EPS:
-            head = self._ready[0]
-            if head.pkts < _CRUMB_PKTS and head.nbytes < _CRUMB_BYTES:
-                self._ready.popleft()
-                self._ready_pkts = max(0.0, self._ready_pkts - head.pkts)
-                self._ready_bytes = max(0.0, self._ready_bytes - head.nbytes)
+        ready = self._ready
+        ready_pkts = self._ready_pkts
+        ready_bytes = self._ready_bytes
+        while ready and budget_p > _EPS and budget_b > _EPS:
+            head = ready[0]
+            head_pkts = head.pkts
+            head_bytes = head.nbytes
+            if head_pkts < _CRUMB_PKTS and head_bytes < _CRUMB_BYTES:
+                ready.popleft()
+                ready_pkts -= head_pkts
+                ready_pkts = ready_pkts if ready_pkts > 0.0 else 0.0
+                ready_bytes -= head_bytes
+                ready_bytes = ready_bytes if ready_bytes > 0.0 else 0.0
                 continue
-            if head.pkts <= budget_p + _EPS and head.nbytes <= budget_b + _EPS:
-                self._ready.popleft()
+            if head_pkts <= budget_p + _EPS and head_bytes <= budget_b + _EPS:
+                ready.popleft()
                 taken = head
             else:
                 # Split to fit whichever budget binds first.
-                if head.pkts > 0 and head.nbytes > 0:
-                    frac = min(budget_p / head.pkts, budget_b / head.nbytes)
+                if head_pkts > 0 and head_bytes > 0:
+                    frac = budget_p / head_pkts
+                    frac_bytes = budget_b / head_bytes
+                    if frac_bytes < frac:
+                        frac = frac_bytes
                 else:
                     frac = 0.0
                 if frac <= _EPS:
                     break
-                taken = head.split_pkts(head.pkts * frac)
+                taken = head.split_pkts(head_pkts * frac)
                 if head.empty:
-                    self._ready.popleft()
-            if taken.empty:
-                break
-            budget_p -= taken.pkts
-            budget_b -= taken.nbytes
-            self._ready_pkts -= taken.pkts
-            self._ready_bytes -= taken.nbytes
-            self.total_out_pkts += taken.pkts
-            self.total_out_bytes += taken.nbytes
+                    ready.popleft()
+                if taken.empty:
+                    break
+            taken_pkts = taken.pkts
+            taken_bytes = taken.nbytes
+            budget_p -= taken_pkts
+            budget_b -= taken_bytes
+            ready_pkts -= taken_pkts
+            ready_bytes -= taken_bytes
+            self.total_out_pkts += taken_pkts
+            self.total_out_bytes += taken_bytes
             out.append(taken)
         # Clamp float drift.
-        if self._ready_pkts < 0:
-            self._ready_pkts = 0.0
-        if self._ready_bytes < 0:
-            self._ready_bytes = 0.0
+        self._ready_pkts = 0.0 if ready_pkts < 0 else ready_pkts
+        self._ready_bytes = 0.0 if ready_bytes < 0 else ready_bytes
         return out
 
     def pop_budgeted(self, costs: List[List[float]]) -> List[PacketBatch]:
@@ -266,49 +260,57 @@ class Buffer:
         exactly rather than via an average packet size.
         """
         out: List[PacketBatch] = []
-        while self._ready:
-            head = self._ready[0]
-            if head.pkts < _CRUMB_PKTS and head.nbytes < _CRUMB_BYTES:
+        ready = self._ready
+        ready_pkts = self._ready_pkts
+        ready_bytes = self._ready_bytes
+        while ready:
+            head = ready[0]
+            head_pkts = head.pkts
+            head_bytes = head.nbytes
+            if head_pkts < _CRUMB_PKTS and head_bytes < _CRUMB_BYTES:
                 # Absorb crumbs: too small to cost, would stall the loop.
-                self._ready.popleft()
-                self._ready_pkts = max(0.0, self._ready_pkts - head.pkts)
-                self._ready_bytes = max(0.0, self._ready_bytes - head.nbytes)
+                ready.popleft()
+                ready_pkts -= head_pkts
+                ready_pkts = ready_pkts if ready_pkts > 0.0 else 0.0
+                ready_bytes -= head_bytes
+                ready_bytes = ready_bytes if ready_bytes > 0.0 else 0.0
                 continue
             frac = 1.0
-            for entry in costs:
-                per_pkt, per_byte, budget = entry
-                cost = per_pkt * head.pkts + per_byte * head.nbytes
+            for per_pkt, per_byte, budget in costs:
+                cost = per_pkt * head_pkts + per_byte * head_bytes
                 if cost > budget:
-                    frac = min(frac, budget / cost if cost > 0 else 1.0)
+                    share = budget / cost if cost > 0 else 1.0
+                    if share < frac:
+                        frac = share
             if frac <= _EPS:
                 break
             if frac >= 1.0 - 1e-12:
-                taken = self._ready.popleft()
+                taken = ready.popleft()
             else:
-                taken = head.split_pkts(head.pkts * frac)
+                taken = head.split_pkts(head_pkts * frac)
                 if head.empty:
-                    self._ready.popleft()
-            if taken.empty:
-                # No representable progress possible against the
-                # remaining budgets: stop rather than spin.
-                break
+                    ready.popleft()
+                if taken.empty:
+                    # No representable progress possible against the
+                    # remaining budgets: stop rather than spin.
+                    break
+            taken_pkts = taken.pkts
+            taken_bytes = taken.nbytes
             for entry in costs:
-                entry[2] -= entry[0] * taken.pkts + entry[1] * taken.nbytes
-            self._ready_pkts -= taken.pkts
-            self._ready_bytes -= taken.nbytes
-            self.total_out_pkts += taken.pkts
-            self.total_out_bytes += taken.nbytes
+                entry[2] -= entry[0] * taken_pkts + entry[1] * taken_bytes
+            ready_pkts -= taken_pkts
+            ready_bytes -= taken_bytes
+            self.total_out_pkts += taken_pkts
+            self.total_out_bytes += taken_bytes
             out.append(taken)
-        if self._ready_pkts < 0:
-            self._ready_pkts = 0.0
-        if self._ready_bytes < 0:
-            self._ready_bytes = 0.0
+        self._ready_pkts = 0.0 if ready_pkts < 0 else ready_pkts
+        self._ready_bytes = 0.0 if ready_bytes < 0 else ready_bytes
         return out
 
     def report_service_credit(self, pkts: float, nbytes: float) -> None:
         """Consumer's unused drain capacity this tick (see commit)."""
-        self._service_credit_pkts += max(0.0, pkts)
-        self._service_credit_bytes += max(0.0, nbytes)
+        self._service_credit_pkts += pkts if pkts > 0.0 else 0.0
+        self._service_credit_bytes += nbytes if nbytes > 0.0 else 0.0
 
     def peek_flows(self) -> Dict[str, Tuple[float, float]]:
         """Ready occupancy per flow id, as ``{flow_id: (pkts, bytes)}``."""
@@ -326,31 +328,36 @@ class Buffer:
         Drop-policy buffers enforce capacity here: staged traffic beyond
         the room left after this tick's drains is discarded, FIFO.
         """
-        room_pkts = (
-            float("inf")
-            if self.capacity_pkts is None
-            else max(0.0, self.capacity_pkts - self._ready_pkts)
-            + self._service_credit_pkts
-        )
-        room_bytes = (
-            float("inf")
-            if self.capacity_bytes is None
-            else max(0.0, self.capacity_bytes - self._ready_bytes)
-            + self._service_credit_bytes
-        )
+        credit_pkts = self._service_credit_pkts
+        credit_bytes = self._service_credit_bytes
         self._service_credit_pkts = 0.0
         self._service_credit_bytes = 0.0
+        staged = self._staged
+        if not staged:
+            return
+        staged_pkts = self._staged_pkts
+        staged_bytes = self._staged_bytes
         # Overflow is shared *proportionally* across this tick's staged
         # arrivals: within one tick the producers' frames interleave on
         # the real queue, so drop-tail hits each flow in proportion to
         # its offered excess — not by producer registration order.
         frac = 1.0
         if self.policy == "drop":
-            if self._staged_pkts > room_pkts + _EPS and self._staged_pkts > 0:
-                frac = min(frac, room_pkts / self._staged_pkts)
-            if self._staged_bytes > room_bytes + _EPS and self._staged_bytes > 0:
-                frac = min(frac, room_bytes / self._staged_bytes)
-        for batch in self._staged:
+            if self.capacity_pkts is not None:
+                room = self.capacity_pkts - self._ready_pkts
+                room = (room if room > 0.0 else 0.0) + credit_pkts
+                if staged_pkts > room + _EPS and staged_pkts > 0:
+                    frac = room / staged_pkts
+                    frac = frac if frac < 1.0 else 1.0
+            if self.capacity_bytes is not None:
+                room = self.capacity_bytes - self._ready_bytes
+                room = (room if room > 0.0 else 0.0) + credit_bytes
+                if staged_bytes > room + _EPS and staged_bytes > 0:
+                    share = room / staged_bytes
+                    if share < frac:
+                        frac = share
+        ready = self._ready
+        for batch in staged:
             if frac < 1.0:
                 accepted = batch.split_pkts(batch.pkts * frac)
                 if not batch.empty:
@@ -360,10 +367,10 @@ class Buffer:
                 batch = accepted
                 if batch.empty:
                     continue
-            self._ready.append(batch)
+            ready.append(batch)
             self._ready_pkts += batch.pkts
             self._ready_bytes += batch.nbytes
-        self._staged.clear()
+        staged.clear()
         self._staged_pkts = 0.0
         self._staged_bytes = 0.0
 

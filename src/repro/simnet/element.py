@@ -60,9 +60,6 @@ class ResourceClaim:
     is_cpu: bool = False
     priority: int = 0
 
-    def demand_for(self, pkts: float, nbytes: float) -> float:
-        return self.per_pkt * pkts + self.per_byte * nbytes
-
 
 class Element(Component):
     """A pipeline stage with PerfSight counters and resource claims.
@@ -122,6 +119,16 @@ class Element(Component):
         self._snap_cache: Optional[CounterSnapshot] = None
         sim.add(self)
 
+    #: Whether the class replaces the datapath defaults; worked out once
+    #: per class so the per-tick loop skips the identity defaults.
+    _own_extra_budgets = _own_transform = _own_route = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._own_extra_budgets = cls.extra_budgets is not Element.extra_budgets
+        cls._own_transform = cls.transform is not Element.transform
+        cls._own_route = cls.route is not Element.route
+
     # -- wiring -------------------------------------------------------------------
 
     def attach_input(self, buf: Buffer, owned: bool = False) -> Buffer:
@@ -136,6 +143,8 @@ class Element(Component):
         self.in_buf = buf
         if owned:
             self.own_buffer(buf)
+        if self.sim is not None:
+            self.sim.invalidate_plan()
         return buf
 
     def own_buffer(self, buf: Buffer) -> Buffer:
@@ -144,6 +153,8 @@ class Element(Component):
             buf.on_drop = self._on_buffer_drop
         if buf not in self._owned_buffers:
             self._owned_buffers.append(buf)
+            if self.sim is not None:
+                self.sim.invalidate_plan()
         return buf
 
     def make_input(
@@ -188,6 +199,8 @@ class Element(Component):
         )
         self._early_claims = [c for c in self.claims if c.resource.phase == 0]
         self._late_claims = [c for c in self.claims if c.resource.phase != 0]
+        if self.sim is not None:
+            self.sim.invalidate_plan()
 
     def _on_buffer_drop(self, location: str, batch: PacketBatch) -> None:
         self.counters.count_drop(
@@ -201,80 +214,137 @@ class Element(Component):
                 registry.on_segment_lost(batch)
 
     # -- per-tick protocol ----------------------------------------------------------
+    #
+    # The hooks below run for every element on every tick, so they are
+    # written for the interpreter: claim costs, grants and counter
+    # charges are computed inline, and ``min``/``max`` are spelled as
+    # comparisons with the same tie and NaN behaviour
+    # (``min(m, v)`` == ``v if v < m else m``).  Every float expression
+    # keeps the operand order of the method it replaces
+    # (``ResourceClaim`` cost = ``per_pkt * pkts + per_byte * nbytes``).
+
+    def plan_hooks(self):
+        # Element's own mid_tick only registers phase-1 demand, and its
+        # end_tick only commits owned buffers.
+        begin, mid, process, end = super().plan_hooks()
+        cls = type(self)
+        if not self._late_claims and cls.mid_tick is Element.mid_tick:
+            mid = False
+        if not self._owned_buffers and cls.end_tick is Element.end_tick:
+            end = False
+        return begin, mid, process, end
 
     def begin_tick(self, sim: Simulator) -> None:
-        if self.in_buf is None:
+        buf = self.in_buf
+        if buf is None:
             return
         # Demand covers staged arrivals too: a real interrupt-driven
         # consumer serves frames that arrive mid-interval, and the unused
         # part of the grant becomes the buffer's service credit.
-        pkts = self.in_buf.pkts
-        nbytes = self.in_buf.nbytes
-        self._overhead_owed_s += self.counters.drain_update_cost()
+        pkts = buf.pkts
+        nbytes = buf.nbytes
+        counters = self.counters
+        owed = self._overhead_owed_s + counters._pending_update_cost_s
+        counters._pending_update_cost_s = 0.0
+        self._overhead_owed_s = owed
+        name = self.name
         for c in self._early_claims:
-            demand = c.demand_for(pkts, nbytes)
+            demand = c.per_pkt * pkts + c.per_byte * nbytes
             if c.is_cpu:
-                demand += self._overhead_owed_s
+                demand += owed
             if demand > 0:
-                c.resource.request(self.name, demand, c.weight, c.priority)
+                c.resource.request(name, demand, c.weight, c.priority)
 
     def mid_tick(self, sim: Simulator) -> None:
         """Register phase-1 (memory bus) demand, bounded by what the
         phase-0 grants and the element's rate caps let it process this
         tick — an element cannot issue more bus traffic than its CPU can
         touch."""
-        if self.in_buf is None or not self._late_claims:
-            return
         late = self._late_claims
-        pkts = self.in_buf.pkts
-        nbytes = self.in_buf.nbytes
+        buf = self.in_buf
+        if buf is None or not late:
+            return
+        pkts = buf.pkts
+        nbytes = buf.nbytes
         if pkts <= 0:
             return
         avg = nbytes / pkts
+        name = self.name
         ceil_pkts = float("inf")
         for c in self._early_claims:
             unit = c.per_pkt + c.per_byte * avg
             if unit > 0:
-                ceil_pkts = min(ceil_pkts, c.resource.grant(self.name) / unit)
+                v = c.resource._grants.get(name, 0.0) / unit
+                if v < ceil_pkts:
+                    ceil_pkts = v
         if self.rate_pps is not None:
-            ceil_pkts = min(ceil_pkts, self.rate_pps * sim.tick)
+            v = self.rate_pps * sim.tick
+            if v < ceil_pkts:
+                ceil_pkts = v
         if self.rate_bps is not None and avg > 0:
-            ceil_pkts = min(ceil_pkts, self.rate_bps / 8.0 * sim.tick / avg)
-        eff_pkts = min(pkts, ceil_pkts)
+            v = self.rate_bps / 8.0 * sim.tick / avg
+            if v < ceil_pkts:
+                ceil_pkts = v
+        eff_pkts = ceil_pkts if ceil_pkts < pkts else pkts
         eff_bytes = eff_pkts * avg
         for c in late:
-            demand = c.demand_for(eff_pkts, eff_bytes)
+            demand = c.per_pkt * eff_pkts + c.per_byte * eff_bytes
             if demand > 0:
-                c.resource.request(self.name, demand, c.weight, c.priority)
+                c.resource.request(name, demand, c.weight, c.priority)
 
     def process_tick(self, sim: Simulator) -> None:
-        if self.in_buf is None:
+        buf = self.in_buf
+        if buf is None:
             return
+        name = self.name
+        owed = self._overhead_owed_s
         budgets: List[List[float]] = []
         for c in self.claims:
-            grant = c.resource.grant(self.name)
+            grant = c.resource._grants.get(name, 0.0)
             if c.is_cpu:
-                pay = min(grant, self._overhead_owed_s)
+                pay = owed if owed < grant else grant
                 grant -= pay
-                self._overhead_owed_s -= pay
+                owed -= pay
             if c.per_pkt == 0.0 and c.per_byte == 0.0:
                 continue
             budgets.append([c.per_pkt, c.per_byte, grant])
+        self._overhead_owed_s = owed
         if self.rate_pps is not None:
             budgets.append([1.0, 0.0, self.rate_pps * sim.tick])
         if self.rate_bps is not None:
             budgets.append([0.0, 1.0, self.rate_bps / 8.0 * sim.tick])
-        budgets.extend(self.extra_budgets(sim))
-        if self.in_buf.ready_pkts > 0:
-            batches = self.in_buf.pop_budgeted(budgets)
-            for batch in batches:
-                if self.count_rx_on_process:
-                    self.counters.count_rx(batch.pkts, batch.nbytes)
-                for cc in self.custom_counters:
+        if self._own_extra_budgets:
+            budgets.extend(self.extra_budgets(sim))
+        if buf.ready_pkts > 0:
+            counters = self.counters
+            count_rx = self.count_rx_on_process
+            custom = self.custom_counters
+            own_transform = self._own_transform
+            own_route = self._own_route
+            target = self.out
+            for batch in buf.pop_budgeted(budgets):
+                if count_rx:
+                    pkts = batch.pkts
+                    counters.rx_pkts += pkts
+                    counters.rx_bytes += batch.nbytes
+                    counters._version += 1
+                    counters._pending_update_cost_s += (2.0 * pkts) * counters.simple_cost_s
+                for cc in custom:
                     cc.observe(batch)
                     self._overhead_owed_s += cc.update_cost_s
-                for out_batch in self.transform(batch):
-                    self._emit(out_batch)
+                for out_batch in self.transform(batch) if own_transform else (batch,):
+                    if own_route:
+                        target = self.route(out_batch)
+                    if target is None:
+                        # Terminal element: traffic leaves the modeled system.
+                        counters.count_tx(out_batch.pkts, out_batch.nbytes)
+                    elif isinstance(target, Buffer):
+                        accepted = target.push(out_batch)
+                        if not accepted.empty:
+                            counters.count_tx(accepted.pkts, accepted.nbytes)
+                    else:
+                        counters.count_tx(out_batch.pkts, out_batch.nbytes)
+                        target(out_batch)
         # Within the tick a real consumer keeps draining as new frames
         # arrive; report what we could still have served so the buffer's
         # commit-time overflow check doesn't punish batched arrivals
@@ -282,12 +352,16 @@ class Element(Component):
         extra_pkts = float("inf")
         extra_bytes = float("inf")
         for per_pkt, per_byte, remaining in budgets:
-            rem = max(0.0, remaining)
+            rem = remaining if remaining > 0.0 else 0.0
             if per_pkt > 0:
-                extra_pkts = min(extra_pkts, rem / per_pkt)
+                v = rem / per_pkt
+                if v < extra_pkts:
+                    extra_pkts = v
             if per_byte > 0:
-                extra_bytes = min(extra_bytes, rem / per_byte)
-        self.in_buf.report_service_credit(extra_pkts, extra_bytes)
+                v = rem / per_byte
+                if v < extra_bytes:
+                    extra_bytes = v
+        buf.report_service_credit(extra_pkts, extra_bytes)
 
     def extra_budgets(self, sim: Simulator) -> List[List[float]]:
         """Additional per-tick ``[per_pkt, per_byte, budget]`` constraints.
@@ -307,20 +381,6 @@ class Element(Component):
     def route(self, batch: PacketBatch) -> RouteTarget:
         """Pick the downstream target for a batch (default: ``self.out``)."""
         return self.out
-
-    def _emit(self, batch: PacketBatch) -> None:
-        target = self.route(batch)
-        if target is None:
-            # Terminal element: traffic leaves the modeled system.
-            self.counters.count_tx(batch.pkts, batch.nbytes)
-            return
-        if isinstance(target, Buffer):
-            accepted = target.push(batch)
-            if not accepted.empty:
-                self.counters.count_tx(accepted.pkts, accepted.nbytes)
-        else:
-            self.counters.count_tx(batch.pkts, batch.nbytes)
-            target(batch)
 
     def drop(self, batch: PacketBatch, location: Optional[str] = None) -> None:
         """Explicitly discard a batch at a named location (e.g. a firewall

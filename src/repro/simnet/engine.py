@@ -16,6 +16,10 @@ order:
 
 Scheduled events (fault injection, workload phase changes, periodic
 pollers) fire at the start of the tick in which they fall due.
+
+The phases run from a cached *tick plan* (see :meth:`Simulator.step`):
+per-phase lists of the components and resources that have work in that
+phase, rebuilt only after the world's structure changes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ import heapq
 import itertools
 import random
 from typing import Callable, Dict, List, Optional, Tuple
+
+#: The per-tick component hooks, in phase order.
+HOOKS = ("begin_tick", "mid_tick", "process_tick", "end_tick")
 
 
 class SimError(Exception):
@@ -78,6 +85,17 @@ class Component:
     def end_tick(self, sim: "Simulator") -> None:  # pragma: no cover - hook
         pass
 
+    def plan_hooks(self) -> Tuple[bool, ...]:
+        """Which of :data:`HOOKS` the tick plan calls on this component.
+
+        A hook still inherited from :class:`Component` is a no-op and is
+        left out.  Asked whenever the simulator rebuilds its plan;
+        subclasses may drop hooks that have nothing to do in their
+        current wiring.
+        """
+        cls = type(self)
+        return tuple(getattr(cls, h) is not getattr(Component, h) for h in HOOKS)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -107,6 +125,7 @@ class Simulator:
         self._resources: List = []  # populated via repro.simnet.resources
         self._events: List[Tuple[float, int, Callable[[], None]]] = []
         self._event_seq = itertools.count()
+        self._plan: Optional[tuple] = None
 
     # -- registration ----------------------------------------------------------
 
@@ -119,11 +138,21 @@ class Simulator:
         component.sim = self
         self._components.append(component)
         self._by_name[component.name] = component
+        self._plan = None
         return component
 
     def add_resource(self, resource) -> None:
         """Register a resource for the arbitration phase (internal use)."""
         self._resources.append(resource)
+        self._plan = None
+
+    def invalidate_plan(self) -> None:
+        """Drop the cached tick plan; the next step rebuilds it.
+
+        Called whenever what a component does per tick changes shape
+        (a new resource claim, a new input or owned buffer).
+        """
+        self._plan = None
 
     def component(self, name: str) -> Component:
         try:
@@ -171,39 +200,71 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------------------
 
+    def _build_plan(self) -> tuple:
+        """Per-phase lists of the objects each phase must call.
+
+        Components appear in registration order under each hook they
+        need (:meth:`Component.plan_hooks`); child resources aggregate
+        in reverse registration order (leaves first), roots allocate in
+        registration order.  The lists hold objects, not bound methods:
+        every hook is looked up when it is called, so a method patched
+        on a class partway through a run is still the one that runs.
+        """
+        hooks: List[List[Component]] = [[] for _ in HOOKS]
+        for comp in self._components:
+            for wanted, bucket in zip(comp.plan_hooks(), hooks):
+                if wanted:
+                    bucket.append(comp)
+        arbitration = []
+        for phase in (0, 1):
+            in_phase = [r for r in self._resources if r.phase == phase]
+            arbitration.append((
+                [r for r in reversed(in_phase) if r.parent is not None],
+                [r for r in in_phase if r.parent is None],
+            ))
+        self._plan = (*hooks, arbitration, list(self._resources))
+        return self._plan
+
     def step(self) -> None:
         """Advance the simulation by one tick."""
-        # Events due within this tick fire before anything else moves.
+        # Events due within this tick fire before anything else moves
+        # (and before the plan is read, so components they add tick now).
         horizon = self.now + self.tick * 0.5
-        while self._events and self._events[0][0] <= horizon:
-            _, _, fn = heapq.heappop(self._events)
+        events = self._events
+        while events and events[0][0] <= horizon:
+            _, _, fn = heapq.heappop(events)
             fn()
 
-        for comp in self._components:
+        plan = self._plan
+        if plan is None:
+            plan = self._build_plan()
+        begin, mid, process, end, arbitration, resources = plan
+
+        for comp in begin:
             comp.begin_tick(self)
 
         # Two allocation phases: phase 0 (CPU pools) settles first, then
         # components refine their phase-1 (memory bus) demand from the
         # CPU grants in mid_tick, and phase-1 resources allocate.  Within
-        # a phase, children aggregate demand up to parents (reverse
-        # registration order so leaves go first), then roots allocate
-        # downwards.
-        for phase in (0, 1):
-            for res in reversed(self._resources):
-                if res.phase == phase:
-                    res.aggregate_demand(self)
-            for res in self._resources:
-                if res.parent is None and res.phase == phase:
-                    res.allocate(self)
-            if phase == 0:
-                for comp in self._components:
-                    comp.mid_tick(self)
+        # a phase, children aggregate demand up to parents, then roots
+        # allocate downwards.
+        (children0, roots0), (children1, roots1) = arbitration
+        for res in children0:
+            res.aggregate_demand(self)
+        for res in roots0:
+            res.allocate(self)
+        for comp in mid:
+            comp.mid_tick(self)
+        for res in children1:
+            res.aggregate_demand(self)
+        for res in roots1:
+            res.allocate(self)
 
-        for comp in self._components:
+        for comp in process:
             comp.process_tick(self)
-        for comp in self._components:
+        for comp in end:
             comp.end_tick(self)
-        for res in self._resources:
+        for res in resources:
             res.finish_tick(self)
 
         self.tick_index += 1

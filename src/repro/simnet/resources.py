@@ -51,6 +51,14 @@ def maxmin_fair(
         raise ValueError("negative demand")
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
+    return _water_fill(demands, weights, capacity)
+
+
+def _water_fill(
+    demands: List[float], weights: List[float], capacity: float
+) -> List[float]:
+    """:func:`maxmin_fair` without the argument checks."""
+    n = len(demands)
     total_demand = sum(demands)
     if total_demand <= capacity:
         return list(demands)
@@ -68,7 +76,8 @@ def maxmin_fair(
                 gap = demands[i] - alloc[i]
                 alloc[i] = demands[i]
                 remaining -= gap
-            active = [i for i in active if i not in set(satisfied)]
+            done = set(satisfied)
+            active = [i for i in active if i not in done]
         else:
             for i in active:
                 alloc[i] += weights[i] * level
@@ -83,6 +92,13 @@ def proportional_share(
     """Split capacity proportionally to weighted demand when oversubscribed."""
     if any(d < 0 for d in demands):
         raise ValueError("negative demand")
+    return _proportional(demands, weights, capacity)
+
+
+def _proportional(
+    demands: List[float], weights: List[float], capacity: float
+) -> List[float]:
+    """:func:`proportional_share` without the argument checks."""
     weighted = [d * w for d, w in zip(demands, weights)]
     total = sum(weighted)
     if total <= capacity:
@@ -90,10 +106,17 @@ def proportional_share(
     if total <= 0:
         return [0.0] * len(demands)
     scale = capacity / total
-    return [min(d, wd * scale) for d, wd in zip(demands, weighted)]
+    out = []
+    for d, wd in zip(demands, weighted):
+        share = wd * scale
+        out.append(share if share < d else d)
+    return out
 
 
-_POLICIES = {"maxmin": maxmin_fair, "proportional": proportional_share}
+#: Arbitration cores by policy name.  :meth:`Resource.request` already
+#: rejects negative demands and non-positive weights, so arbitration
+#: skips the public functions' argument checks.
+_POLICIES = {"maxmin": _water_fill, "proportional": _proportional}
 
 
 class Resource:
@@ -188,7 +211,9 @@ class Resource:
         total = sum(self._demands.values())
         cap = self.parent_cap_per_s
         if cap is not None:
-            total = min(total, cap * sim.tick)
+            cap *= sim.tick
+            if cap < total:
+                total = cap
         self.parent.request(
             self._claimant_key(), total, self.parent_weight, self.parent_priority
         )
@@ -198,25 +223,35 @@ class Resource:
 
     def allocate(self, sim: Simulator) -> None:
         """Arbitrate this tick's capacity among claimants, then recurse."""
-        self._tick_capacity = self._effective_capacity(sim)
-        self._grants = {}
-        remaining = self._tick_capacity
-        used = 0.0
-        tiers = sorted({p for p in self._priorities.values()}, reverse=True)
-        for tier in tiers:
-            names = [n for n in self._demands if self._priorities[n] == tier]
-            demands = [self._demands[n] for n in names]
-            weights = [self._weights[n] for n in names]
-            allocs = _POLICIES[self.policy](demands, weights, max(0.0, remaining))
-            self._grants.update(dict(zip(names, allocs)))
-            granted = sum(allocs)
-            remaining -= granted
-            used += granted
-        self.total_capacity_seen += self._tick_capacity
+        capacity = self._tick_capacity = self._effective_capacity(sim)
+        policy = _POLICIES[self.policy]
+        tiers = set(self._priorities.values())
+        if len(tiers) == 1:
+            # One tier (the common case): every claimant, in request
+            # order, against the whole capacity.
+            allocs = policy(
+                list(self._demands.values()),
+                list(self._weights.values()),
+                capacity if capacity > 0.0 else 0.0,
+            )
+            self._grants = dict(zip(self._demands, allocs))
+            used = 0.0 + sum(allocs)
+        else:
+            self._grants = {}
+            remaining = capacity
+            used = 0.0
+            for tier in sorted(tiers, reverse=True):
+                names = [n for n in self._demands if self._priorities[n] == tier]
+                demands = [self._demands[n] for n in names]
+                weights = [self._weights[n] for n in names]
+                allocs = policy(demands, weights, remaining if remaining > 0.0 else 0.0)
+                self._grants.update(zip(names, allocs))
+                granted = sum(allocs)
+                remaining -= granted
+                used += granted
+        self.total_capacity_seen += capacity
         self.total_granted += used
-        self.last_utilization = (
-            used / self._tick_capacity if self._tick_capacity > 0 else 0.0
-        )
+        self.last_utilization = used / capacity if capacity > 0 else 0.0
         for child in self._children:
             child.allocate(sim)
 
@@ -277,7 +312,8 @@ class SubResource(Resource):
         # Whatever the parent granted this VM this tick, further capped by
         # the static allocation.
         granted = self.parent.grant(self._claimant_key()) if self.parent else 0.0
-        return min(granted, self.capacity_per_s * sim.tick)
+        cap = self.capacity_per_s * sim.tick
+        return cap if cap < granted else granted
 
     def set_allocation(self, cap_per_s: float) -> None:
         """Change the static allocation (live resize / migration support)."""

@@ -206,3 +206,86 @@ class TestEvents:
         c = Simulator(seed=8).rng.random()
         assert a == b
         assert a != c
+
+
+class TestTickPlan:
+    """The cached per-phase plan must follow every change to the world."""
+
+    def test_component_added_by_event_ticks_from_next_step(self):
+        sim = Simulator(tick=1e-3)
+        sim.add(Recorder("first"))
+        sim.step()  # the plan is built and cached
+        late = Recorder("late")
+        sim.schedule(sim.now, lambda: sim.add(late))
+        sim.step()
+        assert late.calls == [
+            ("begin", 1), ("mid", 1), ("process", 1), ("end", 1),
+        ]
+
+    def test_base_noop_hooks_left_out(self):
+        sim = Simulator(tick=1e-3)
+        seen = []
+
+        class BeginOnly(Component):
+            def begin_tick(self, sim):
+                seen.append(sim.tick_index)
+
+        comp = sim.add(BeginOnly("b"))
+        sim.step()
+        assert seen == [0]
+        assert comp.plan_hooks() == (True, False, False, False)
+
+    def test_claim_after_first_step_takes_effect(self):
+        from repro.simnet.element import Element
+        from repro.simnet.packet import Flow, PacketBatch
+        from repro.simnet.resources import Resource
+
+        sim = Simulator(tick=1e-3)
+        cpu = Resource(sim, "cpu", capacity_per_s=1.0)
+        bus = Resource(sim, "bus", capacity_per_s=1e9, phase=1)
+        e = Element(sim, "e")
+        buf = e.make_input("e.q")
+        sim.step()
+        e.claim(cpu, per_pkt=1e-5, is_cpu=True)  # 100 pkts per tick
+        e.claim(bus, per_byte=1.0)  # phase 1: e now needs mid_tick
+        buf.push(PacketBatch(Flow("f", packet_bytes=100.0), 1000, 1e5))
+        sim.step()  # commit
+        granted = bus.total_granted
+        sim.step()
+        assert e.counters.rx_pkts == pytest.approx(100, rel=0.01)
+        # mid_tick bounded the bus demand by the CPU grant: 100 pkts.
+        assert bus.total_granted - granted == pytest.approx(100 * 100.0, rel=0.01)
+
+    def test_attach_input_after_first_step_takes_effect(self):
+        from repro.simnet.buffers import Buffer
+        from repro.simnet.element import Element
+        from repro.simnet.packet import Flow, PacketBatch
+
+        sim = Simulator(tick=1e-3)
+        e = Element(sim, "e")
+        out = Buffer("down.q")
+        e.out = out
+        sim.step()
+        buf = e.make_input("e.q")
+        buf.push(PacketBatch(Flow("f"), 7, 7 * 1500.0))
+        sim.run(3e-3)
+        assert e.counters.rx_pkts == pytest.approx(7)
+        assert out.pkts == pytest.approx(7)
+
+    def test_class_patch_after_first_step_is_called(self, monkeypatch):
+        from repro.simnet.element import Element
+
+        sim = Simulator(tick=1e-3)
+        e = Element(sim, "e")
+        e.make_input("e.q")
+        sim.step()
+        calls = []
+        original = Element.process_tick
+
+        def traced(self, sim):
+            calls.append(self.name)
+            return original(self, sim)
+
+        monkeypatch.setattr(Element, "process_tick", traced)
+        sim.step()
+        assert calls == ["e"]
