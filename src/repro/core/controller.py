@@ -71,6 +71,7 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     TypeVar,
 )
@@ -227,10 +228,7 @@ class AgentMirror:
 
     def data_quality(self, now: Optional[float] = None) -> DataQuality:
         """The staleness annotation for answers served from this mirror."""
-        last_ts: Optional[float] = None
-        for eid in self.store.element_ids():
-            ts = self.store.latest(eid).timestamp
-            last_ts = ts if last_ts is None else max(last_ts, ts)
+        last_ts = self.store.latest_timestamp()
         age = None
         if now is not None and last_ts is not None:
             age = max(0.0, now - last_ts)
@@ -786,41 +784,17 @@ class ZoneController:
         with self._report_lock:
             self._report_seq = max(self._report_seq, seq)
 
-    def _window_scalars(
-        self, machine: str, window_s: float
-    ) -> Tuple[float, float, float, int, Optional[float]]:
-        """Figure-6 rates off one machine's trailing mirror window.
-
-        Returns ``(rx_pkts, rx_bytes, lost, elements, last_ts)`` where
-        ``last_ts`` is the freshest sample timestamp seen (None when the
-        mirror is empty).  O(elements) memoized window lookups — this is
-        the entire per-machine cost of the coarse monitoring phase.
-        """
-        mirror = self.mirror_for(machine)
-        rx_pkts = rx_bytes = lost = 0.0
-        elements = 0
-        last_ts: Optional[float] = None
-        for eid in mirror.store.element_ids():
-            try:
-                win = mirror.store.window_ending_now(eid, window_s)
-            except StoreError:
-                continue
-            elements += 1
-            rx_pkts += win.delta("rx_pkts")
-            rx_bytes += win.delta("rx_bytes")
-            lost += max(0.0, win.pkt_loss())
-            ts = win.end.timestamp
-            last_ts = ts if last_ts is None else max(last_ts, ts)
-        return rx_pkts, rx_bytes, lost, elements, last_ts
-
     def _summarize_machine(self, machine: str, report, window_s: float):
-        """One machine's scalar summary from its mirror + scan report."""
+        """One machine's scalar summary from its mirror + scan report.
+
+        The Figure-6 rates come from the mirror's memoized
+        :meth:`~repro.core.store.TimeSeriesStore.window_totals`, which
+        :meth:`build_coarse_report` reuses in the same round.
+        """
         from repro.core.diagnosis.report import MachineSummary
 
         mirror = self.mirror_for(machine)
-        rx_pkts, rx_bytes, lost, elements, _ = self._window_scalars(
-            machine, window_s
-        )
+        rx_pkts, rx_bytes, lost, elements, _ = mirror.store.window_totals(window_s)
         dt = max(window_s, 1e-9)
         return MachineSummary(
             machine=machine,
@@ -862,10 +836,11 @@ class ZoneController:
         summaries: Dict[str, "MachineSummary"] = {}
         dt = max(window_s, 1e-9)
         for machine in self.machines():
-            rx_pkts, rx_bytes, lost, elements, last_ts = self._window_scalars(
-                machine, window_s
+            mirror = self.mirror_for(machine)
+            rx_pkts, rx_bytes, lost, elements, last_ts = mirror.store.window_totals(
+                window_s
             )
-            health = self.mirror_for(machine).health.state
+            health = mirror.health.state
             age = 0.0
             if now is not None and last_ts is not None:
                 age = max(0.0, now - last_ts)
@@ -938,13 +913,26 @@ class ZoneController:
 
     def mirror_latest(self, machine: str, element_id: str) -> CounterSnapshot:
         """Latest mirrored snapshot, lazily refreshing on first miss."""
+        return self._read_latest(machine, element_id, "latest")
+
+    def mirror_latest_row(
+        self, machine: str, element_id: str
+    ) -> Tuple[str, Tuple[str, ...], Sequence[float]]:
+        """:meth:`mirror_latest` as a ring row, no snapshot built.
+
+        ``(machine, attr names, values copy)`` — see
+        :meth:`~repro.core.store.TimeSeriesStore.latest_row`.
+        """
+        return self._read_latest(machine, element_id, "latest_row")
+
+    def _read_latest(self, machine: str, element_id: str, read: str):
         mirror = self.mirror_for(machine)
         try:
-            return mirror.store.latest(element_id)
+            return getattr(mirror.store, read)(element_id)
         except StoreError:
             mirror.sync()
         try:
-            return mirror.store.latest(element_id)
+            return getattr(mirror.store, read)(element_id)
         except StoreError:
             raise KeyError(
                 f"machine {machine!r} has no element {element_id!r}"

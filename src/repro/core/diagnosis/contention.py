@@ -10,18 +10,23 @@ spread across VMs (contention) or confined to one VM's path
 (bottleneck) comes from the per-VM drop locations and the per-flow
 attribution the buffers keep.
 
-Cost is linear in the number of elements, as the paper notes.
+Cost is linear in the number of elements, as the paper notes.  The
+scan reads each element's newest ring row at both ends of the window
+(:meth:`~repro.core.store.TimeSeriesStore.latest_row`) and diffs the
+rows through per-schema column indices, with exactly the float
+operations :class:`CounterWindow` would perform; no snapshot dict or
+window object is built per element.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.controller import COLLECTION_ERRORS, Controller
-from repro.core.counters import CounterSnapshot, CounterWindow
+from repro.core.counters import CounterWindow
 from repro.core.diagnosis.report import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_FULL,
@@ -49,7 +54,11 @@ class ContentionScan:
     machine: str
     window_s: float
     ids: List[str]
-    starts: Dict[str, CounterSnapshot] = field(default_factory=dict)
+    #: element id -> its newest mirror row at begin:
+    #: ``(machine, attr names, values copy)``.
+    starts: Dict[str, Tuple[str, Tuple[str, ...], Sequence[float]]] = field(
+        default_factory=dict
+    )
     missing: List[str] = field(default_factory=list)
     #: ``time.perf_counter()`` at begin, for the runtime histogram.
     started_at: float = 0.0
@@ -130,7 +139,7 @@ class ContentionDetector:
         self.controller.refresh(machine_name)
         for eid in scan.ids:
             try:
-                scan.starts[eid] = self.controller.mirror_latest(machine_name, eid)
+                scan.starts[eid] = self.controller.mirror_latest_row(machine_name, eid)
             except (KeyError, StoreError):
                 scan.missing.append(eid)
         return scan
@@ -146,11 +155,11 @@ class ContentionDetector:
             if eid in missing:
                 continue
             try:
-                end = self.controller.mirror_latest(machine_name, eid)
+                end = self.controller.mirror_latest_row(machine_name, eid)
             except (KeyError, StoreError):
                 missing.append(eid)
                 continue
-            ranked.append(self._element_loss(CounterWindow(scan.starts[eid], end)))
+            ranked.append(_row_loss(eid, scan.starts[eid], end))
         ranked.sort(key=lambda el: -el.loss_pkts)
 
         drops_all: Dict[str, float] = {}
@@ -239,6 +248,7 @@ class ContentionDetector:
 
     @staticmethod
     def _element_loss(window: CounterWindow) -> ElementLoss:
+        """One Algorithm-1 row off a window (the oracle for :func:`_row_loss`)."""
         return ElementLoss(
             element_id=window.element_id,
             machine=window.machine,
@@ -246,3 +256,98 @@ class ContentionDetector:
             drops_by_location=window.drops_by_location(),
             drops_by_flow=window.drops_by_flow(),
         )
+
+
+class _LossPlan(NamedTuple):
+    """Column indices one attr schema needs for an Algorithm-1 row."""
+
+    rx: Optional[int]
+    tx: Optional[int]
+    #: ``(column, attr name, key)`` per ``drops.<key>`` attr, schema order.
+    drops: Tuple[Tuple[int, str, str], ...]
+    #: The same for ``drops_flow.<key>``.
+    flows: Tuple[Tuple[int, str, str], ...]
+
+
+#: Schema tuple -> plan.  Schemas repeat across elements, machines and
+#: rounds; the cache is dropped wholesale if it ever grows past the bound.
+_PLANS: Dict[Tuple[str, ...], _LossPlan] = {}
+_MAX_PLANS = 4096
+
+
+def _plan_for(names: Tuple[str, ...]) -> _LossPlan:
+    plan = _PLANS.get(names)
+    if plan is None:
+        if len(_PLANS) >= _MAX_PLANS:
+            _PLANS.clear()
+
+        def prefixed(head: str) -> Tuple[Tuple[int, str, str], ...]:
+            return tuple(
+                (col, name, name[len(head):])
+                for col, name in enumerate(names)
+                if name.startswith(head)
+            )
+
+        index = {name: col for col, name in enumerate(names)}
+        plan = _PLANS[names] = _LossPlan(
+            index.get("rx_pkts"), index.get("tx_pkts"),
+            prefixed("drops."), prefixed("drops_flow."),
+        )
+    return plan
+
+
+def _row_loss(
+    element_id: str,
+    start: Tuple[str, Tuple[str, ...], Sequence[float]],
+    end: Tuple[str, Tuple[str, ...], Sequence[float]],
+) -> ElementLoss:
+    """:meth:`ContentionDetector._element_loss` over two ring rows.
+
+    Same float operations in the same order as
+    :meth:`CounterWindow.pkt_loss` and :meth:`CounterWindow.growth`,
+    same dict order (the end row's attr order), ABSENT cells and
+    columns a row lacks read as 0.0.  The start row may carry an older,
+    narrower schema (the series widened inside the window).
+    """
+    _, start_names, start_values = start
+    machine, names, values = end
+    plan = _plan_for(names)
+    # None when both rows share the end row's columns (the usual case).
+    start_cols = (
+        None if start_names is names or start_names == names
+        else {name: col for col, name in enumerate(start_names)}
+    )
+
+    def before(col: Optional[int], name: str) -> float:
+        if start_cols is not None:
+            col = start_cols.get(name)
+        if col is None:
+            return 0.0
+        value = start_values[col]
+        return value if value == value else 0.0
+
+    def after(col: Optional[int]) -> float:
+        if col is None:
+            return 0.0
+        value = values[col]
+        return value if value == value else 0.0
+
+    gap_start = before(plan.rx, "rx_pkts") - before(plan.tx, "tx_pkts")
+    gap_end = after(plan.rx) - after(plan.tx)
+
+    def growth(cols: Tuple[Tuple[int, str, str], ...]) -> Dict[str, float]:
+        out: Dict[str, float] = {}
+        for col, name, key in cols:
+            # an ABSENT end cell makes delta NaN, which never counts
+            delta = values[col] - before(col, name)
+            if delta > 0:
+                out[key] = delta
+        return out
+
+    return ElementLoss(
+        element_id=element_id,
+        machine=machine,
+        loss_pkts=gap_end - gap_start,
+        drops_by_location=growth(plan.drops),
+        drops_by_flow=growth(plan.flows),
+    )

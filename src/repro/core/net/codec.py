@@ -194,15 +194,31 @@ class _Table:
 
 
 class WireSchema:
-    """The per-connection id tables both peers keep in lockstep."""
+    """The per-connection id tables both peers keep in lockstep.
 
-    __slots__ = ("elements", "attrs", "machines", "labels")
+    Also holds the connection's block-schema memos, one entry per
+    element id: on the encoding side the element's last attr-name tuple
+    and its packed attr-id bytes, on the decoding side the last raw
+    attr-id bytes and the names tuple they resolved to.  An element
+    whose schema did not change since its previous block therefore
+    costs one comparison per block on either side, and the decoder
+    hands the mirror the *same* tuple object every frame, which is what
+    keeps the store's per-series column memo hot.  Ids never change
+    meaning on a connection (tables are append-only and refuse remaps),
+    so a memo entry stays valid until the element's schema changes.
+    """
+
+    __slots__ = ("elements", "attrs", "machines", "labels", "enc_attrs", "dec_attrs")
 
     def __init__(self) -> None:
         self.elements = _Table()
         self.attrs = _Table()
         self.machines = _Table()
         self.labels = _Table()
+        #: element id -> (attr-name tuple, packed attr-id bytes)
+        self.enc_attrs: Dict[int, Tuple[Tuple[str, ...], bytes]] = {}
+        #: element id -> (raw attr-id bytes, attr-name tuple)
+        self.dec_attrs: Dict[int, Tuple[bytes, Tuple[str, ...]]] = {}
 
     def _space(self, space: int, op: str, offset: int) -> _Table:
         if space == SPACE_ELEMENT:
@@ -452,16 +468,25 @@ def encode_batch_response(
         body += _ID_SEQ.pack(ident_for(SPACE_ELEMENT, schema.elements, name), seq)
     block_list = list(blocks)
     body += _U32.pack(len(block_list))
+    memo = schema.enc_attrs
     for element_id, block_machine, attr_names, rows in block_list:
+        elem_ident = ident_for(SPACE_ELEMENT, schema.elements, element_id)
         body += _BLOCK_HEAD.pack(
-            ident_for(SPACE_ELEMENT, schema.elements, element_id),
+            elem_ident,
             ident_for(SPACE_MACHINE, schema.machines, block_machine),
             len(attr_names),
         )
-        attr_ids = [
-            ident_for(SPACE_ATTR, schema.attrs, name) for name in attr_names
-        ]
-        body += struct.pack(f"<{len(attr_ids)}I", *attr_ids)
+        hit = memo.get(elem_ident)
+        if hit is not None and hit[0] == attr_names:
+            body += hit[1]
+        else:
+            attr_ids = [
+                ident_for(SPACE_ATTR, schema.attrs, name) for name in attr_names
+            ]
+            packed = struct.pack(f"<{len(attr_ids)}I", *attr_ids)
+            if isinstance(attr_names, tuple):
+                memo[elem_ident] = (attr_names, packed)
+            body += packed
         body += _U32.pack(len(rows))
         pack = _row_struct(len(attr_names)).pack
         for seq, timestamp, values in rows:
@@ -516,24 +541,34 @@ def decode_batch_response(schema: WireSchema, raw: bytes) -> BatchPayload:
 
     machine = schema.machines.name_of(r.u32("machine id"), r.op, r.pos - 4)
     cursor_count = r.bound_count(r.u32("cursor count"), 12, "cursor")
-    cursor: Dict[str, int] = {}
-    for _ in range(cursor_count):
-        at = r.need(12, "cursor entry")
-        ident, seq = _ID_SEQ.unpack_from(r.view, at)
-        cursor[schema.elements.name_of(ident, r.op, at)] = seq
+    at = r.need(12 * cursor_count, "cursor entries")
+    name_of = schema.elements.name_of
+    cursor: Dict[str, int] = {
+        name_of(ident, r.op, at + 12 * i): seq
+        for i, (ident, seq) in enumerate(
+            _ID_SEQ.iter_unpack(r.view[at: at + 12 * cursor_count])
+        )
+    }
 
     block_count = r.bound_count(r.u32("block count"), 14, "block")
     blocks: List[SeriesBlock] = []
+    memo = schema.dec_attrs
     for _ in range(block_count):
         at = r.need(10, "block header")
         elem_ident, machine_ident, attr_count = _BLOCK_HEAD.unpack_from(r.view, at)
         element_id = schema.elements.name_of(elem_ident, r.op, at)
         block_machine = schema.machines.name_of(machine_ident, r.op, at)
         ids_at = r.need(4 * attr_count, "block attr ids")
-        attr_ids = struct.unpack_from(f"<{attr_count}I", r.view, ids_at)
-        attr_names = tuple(
-            schema.attrs.name_of(ident, r.op, ids_at) for ident in attr_ids
-        )
+        raw_ids = bytes(r.view[ids_at: ids_at + 4 * attr_count])
+        hit = memo.get(elem_ident)
+        if hit is not None and hit[0] == raw_ids:
+            attr_names = hit[1]
+        else:
+            attr_names = tuple(
+                schema.attrs.name_of(ident, r.op, ids_at)
+                for ident in struct.unpack(f"<{attr_count}I", raw_ids)
+            )
+            memo[elem_ident] = (raw_ids, attr_names)
         row_struct = _row_struct(attr_count)
         row_count = r.bound_count(
             r.u32("row count"), row_struct.size, f"{element_id} row"

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.counters import ABSENT, CounterSnapshot, CounterWindow
 
@@ -84,6 +84,31 @@ class StoreError(KeyError):
     """Raised for lookups against data the store does not (yet) hold."""
 
 
+class WindowTotals(NamedTuple):
+    """Trailing-window growth summed over a store's elements.
+
+    See :meth:`TimeSeriesStore.window_totals`.  ``last_ts`` is the
+    freshest sample timestamp (None for an empty store).
+    """
+
+    rx_pkts: float
+    rx_bytes: float
+    lost: float
+    elements: int
+    last_ts: Optional[float]
+
+
+def _cell(values: array, base: int, col: Optional[int]) -> float:
+    """One ring cell read as ``CounterSnapshot.get`` reads an attr.
+
+    A column the row lacks, or an ABSENT (NaN) cell, reads as 0.0.
+    """
+    if col is None:
+        return 0.0
+    value = values[base + col]
+    return value if value == value else 0.0
+
+
 class _ElementSeries:
     """Fixed-capacity columnar ring of one element's snapshots.
 
@@ -109,6 +134,7 @@ class _ElementSeries:
         "_sentinel_cols",
         "_memo_names",
         "_memo_cols",
+        "_memo_full",
         "_memo_sentinels",
         "_absent_row",
         "_snap_cache",
@@ -132,6 +158,9 @@ class _ElementSeries:
         self._sentinel_cols: Tuple[Tuple[str, int], ...] = ()
         self._memo_names: Optional[Tuple[str, ...]] = None
         self._memo_cols: List[int] = []
+        # True when the memoized names are exactly this series' columns
+        # in order: such a row lands with one slice copy.
+        self._memo_full = False
         self._memo_sentinels: List[Tuple[int, int]] = []
         self._absent_row = array("d")
         # Rows are write-once until their slot is recycled, so the
@@ -192,6 +221,7 @@ class _ElementSeries:
         if isinstance(names, tuple):
             self._memo_names = names
             self._memo_cols = cols
+            self._memo_full = cols == list(range(len(self.attr_names)))
             self._memo_sentinels = self._sentinel_pairs(names)
         return cols
 
@@ -230,11 +260,18 @@ class _ElementSeries:
         self._snap_cache[slot] = None
         self.version += 1
         base = slot * stride
-        if stride:
-            self.values[base: base + stride] = self._absent_row
-            values = self.values
-            for col, value in zip(cols, row_values):
-                values[base + col] = value
+        if not stride:
+            return
+        if names is self._memo_names and self._memo_full and len(row_values) == stride:
+            # Full-width, in-order row: one slice copy, no per-cell loop.
+            if getattr(row_values, "typecode", None) != "d":
+                row_values = array("d", row_values)
+            self.values[base: base + stride] = row_values
+            return
+        self.values[base: base + stride] = self._absent_row
+        values = self.values
+        for col, value in zip(cols, row_values):
+            values[base + col] = value
 
     def clear(self) -> None:
         self.start = 0
@@ -262,6 +299,20 @@ class _ElementSeries:
 
     def value_at(self, i: int, col: int) -> float:
         return self.values[self._slot(i) * len(self.attr_names) + col]
+
+    def trailing_start(self, duration_s: float) -> int:
+        """Logical index of the row a trailing ``duration_s`` window starts at.
+
+        The newest row at least ``duration_s`` older than the newest
+        row, or the oldest row when history is shorter than that.
+        """
+        last = self.count - 1
+        stamps, start, cap = self.stamps, self.start, self.capacity
+        t0 = stamps[(start + last) % cap] - duration_s + 1e-12
+        for i in range(last, -1, -1):
+            if stamps[(start + i) % cap] <= t0:
+                return i
+        return 0
 
     def row_values(self, i: int) -> array:
         stride = len(self.attr_names)
@@ -348,6 +399,9 @@ class TimeSeriesStore:
         self.total_deduped = 0
         self.resets: Dict[str, int] = {}
         self.total_resets = 0
+        # Bumped on every stored change; keys the trailing-totals memo.
+        self.version = 0
+        self._totals_memo: Dict[float, Tuple[int, WindowTotals]] = {}
 
     def _make_series(self, element_id: str, machine: str) -> _ElementSeries:
         """Series factory — the hook subclasses (tiered stores) override."""
@@ -400,6 +454,7 @@ class TimeSeriesStore:
                     self.total_resets += 1
             series.push_row(machine, seq, timestamp, names, values)
             self.total_appended += 1
+            self.version += 1
             return True
 
     def append(self, snap: CounterSnapshot) -> bool:
@@ -457,11 +512,13 @@ class TimeSeriesStore:
                             self.total_resets += 1
                     series.push_row(machine, seq, timestamp, names, values)
                     self.total_appended += 1
+            self.version += 1
         return shipped
 
     def clear(self) -> None:
         with self._lock:
             self._series.clear()
+            self.version += 1
 
     # -- accounting --------------------------------------------------------------
 
@@ -544,19 +601,84 @@ class TimeSeriesStore:
             memo = series._win_memo.get(duration_s)
             if memo is not None and memo[0] == series.version:
                 return memo[1]
-            last = series.count - 1
-            stamps, start, cap = series.stamps, series.start, series.capacity
-            t0 = stamps[(start + last) % cap] - duration_s + 1e-12
-            start_i = 0
-            for i in range(last, -1, -1):
-                if stamps[(start + i) % cap] <= t0:
-                    start_i = i
-                    break
             win = CounterWindow(
-                start=series.materialize(start_i), end=series.materialize(last)
+                start=series.materialize(series.trailing_start(duration_s)),
+                end=series.materialize(series.count - 1),
             )
             series._win_memo[duration_s] = (series.version, win)
             return win
+
+    def window_totals(self, duration_s: float) -> WindowTotals:
+        """Every element's trailing window, summed in one columnar pass.
+
+        Per element, in id order, this adds what
+        :meth:`window_ending_now` would give — ``delta("rx_pkts")``,
+        ``delta("rx_bytes")`` and ``max(0, pkt_loss())`` — read straight
+        off the ring cells, with the same float operations in the same
+        order, so the sums are bit-identical to the window-object path.
+        Memoized on :attr:`version`: every reader between two ingests
+        (a zone's diagnosis and coarse roll-ups of one round) shares one
+        pass.
+        """
+        if duration_s <= 0:
+            raise ValueError(f"window duration must be positive: {duration_s!r}")
+        with self._lock:
+            memo = self._totals_memo.get(duration_s)
+            if memo is not None and memo[0] == self.version:
+                return memo[1]
+            rx_pkts = rx_bytes = lost = 0.0
+            elements = 0
+            last_ts: Optional[float] = None
+            for eid in sorted(self._series):
+                series = self._series[eid]
+                count = series.count
+                if not count:
+                    continue
+                end_slot = series._slot(count - 1)
+                start_slot = series._slot(series.trailing_start(duration_s))
+                stride = len(series.attr_names)
+                sb, eb = start_slot * stride, end_slot * stride
+                values, index = series.values, series.attr_index
+                rx_col = index.get("rx_pkts")
+                bytes_col = index.get("rx_bytes")
+                tx_col = index.get("tx_pkts")
+                s_rx, e_rx = _cell(values, sb, rx_col), _cell(values, eb, rx_col)
+                s_tx, e_tx = _cell(values, sb, tx_col), _cell(values, eb, tx_col)
+                elements += 1
+                rx_pkts += e_rx - s_rx
+                rx_bytes += _cell(values, eb, bytes_col) - _cell(values, sb, bytes_col)
+                loss = (e_rx - e_tx) - (s_rx - s_tx)
+                lost += loss if loss > 0.0 else 0.0
+                ts = series.stamps[end_slot]
+                if last_ts is None or ts > last_ts:
+                    last_ts = ts
+            totals = WindowTotals(rx_pkts, rx_bytes, lost, elements, last_ts)
+            self._totals_memo[duration_s] = (self.version, totals)
+            return totals
+
+    def latest_row(self, element_id: str) -> Tuple[str, Tuple[str, ...], array]:
+        """The newest row off the ring: ``(machine, attr names, values)``.
+
+        ``values`` is a copy, position-aligned to the names with ABSENT
+        cells in place: the columnar :meth:`latest` for readers that
+        diff rows (Algorithm 1) without building a snapshot.
+        """
+        with self._lock:
+            series = self._get_series(element_id)
+            names = series.attr_names
+            base = (series.start + series.count - 1) % series.capacity * len(names)
+            return series.machine, names, series.values[base: base + len(names)]
+
+    def latest_timestamp(self) -> Optional[float]:
+        """The freshest sample timestamp across elements (None if empty)."""
+        with self._lock:
+            last_ts: Optional[float] = None
+            for series in self._series.values():
+                if series.count:
+                    ts = series.stamp_at(series.count - 1)
+                    if last_ts is None or ts > last_ts:
+                        last_ts = ts
+            return last_ts
 
     # -- delta-batched collection -------------------------------------------------
 
@@ -584,6 +706,21 @@ class TimeSeriesStore:
             return -1
         return floor
 
+    def _first_changed(self, series: _ElementSeries, acked: Mapping[str, int]) -> int:
+        """Logical index of the oldest row newer than the ack floor.
+
+        Seqs strictly increase within a series (dedup drops repeats, a
+        regression re-baselines), so the rows to send are a suffix:
+        walk back from the newest row and stop at the floor instead of
+        testing every retained row.
+        """
+        floor = self._changed_floor(series, acked)
+        seqs, start, cap = series.seqs, series.start, series.capacity
+        i = series.count
+        while i and seqs[(start + i - 1) % cap] > floor:
+            i -= 1
+        return i
+
     def changed_since(self, acked: Mapping[str, int]) -> List[CounterSnapshot]:
         """Every stored snapshot newer than the collector's ack vector.
 
@@ -598,10 +735,10 @@ class TimeSeriesStore:
                 series = self._series[eid]
                 if not series.count:
                     continue
-                floor = self._changed_floor(series, acked)
-                for i in range(series.count):
-                    if series.seq_at(i) > floor:
-                        out.append(series.materialize(i))
+                out.extend(
+                    series.materialize(i)
+                    for i in range(self._first_changed(series, acked), series.count)
+                )
             return out
 
     def changed_blocks(self, acked: Mapping[str, int]) -> List[SeriesBlock]:
@@ -618,12 +755,10 @@ class TimeSeriesStore:
                 series = self._series[eid]
                 if not series.count:
                     continue
-                floor = self._changed_floor(series, acked)
-                rows: List[Tuple[int, float, Sequence[float]]] = []
-                for i in range(series.count):
-                    seq = series.seq_at(i)
-                    if seq > floor:
-                        rows.append((seq, series.stamp_at(i), series.row_values(i)))
+                rows: List[Tuple[int, float, Sequence[float]]] = [
+                    (series.seq_at(i), series.stamp_at(i), series.row_values(i))
+                    for i in range(self._first_changed(series, acked), series.count)
+                ]
                 if rows:
                     out.append((eid, series.machine, series.attr_names, rows))
             return out

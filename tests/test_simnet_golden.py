@@ -7,7 +7,11 @@ The recorded values live in ``golden/simnet_golden.json``; any change to
 the stepping engine, elements, buffers or arbitration must reproduce
 them.  On the interpreter that recorded them the comparison is exact
 (``float.hex``); other versions compare at rel 1e-12, since Python 3.12
-changed the rounding of the builtin ``sum()``.
+changed the rounding of the builtin ``sum()``.  An element counter may
+also differ by up to one ulp of that element's largest counter: a
+near-zero residue (an emptied queue's ``queue_bytes``) carries the
+rounding of the large totals it was computed from.  On 3.12.1 the worst
+such residue differs by a quarter of that ulp (fig08 queue bytes).
 
 Scenarios are shortened by scaling every ``Harness.advance`` call, so
 each keeps its phase structure (faults start and stop, queries run) at
@@ -185,11 +189,12 @@ def _load() -> dict:
         return json.load(fh)
 
 
-def _same(expected: str, actual: str, exact: bool) -> bool:
+def _same(expected: str, actual: str, exact: bool, scale: float = 0.0) -> bool:
+    """Equal, or (``exact`` off) within rel 1e-12 or one ulp of ``scale``."""
     if exact:
         return expected == actual
     a, b = float.fromhex(expected), float.fromhex(actual)
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=max(1e-15, math.ulp(scale)))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -207,8 +212,9 @@ def test_counters_match_golden(case, monkeypatch):
         assert sorted(mine["resources"]) == sorted(world["resources"])
         for name, attrs in world["elements"].items():
             assert sorted(mine["elements"][name]) == sorted(attrs), name
+            scale = max((abs(float.fromhex(v)) for v in attrs.values()), default=0.0)
             for attr, value in attrs.items():
-                if not _same(value, mine["elements"][name][attr], exact):
+                if not _same(value, mine["elements"][name][attr], exact, scale):
                     mismatches.append((n, name, attr, value, mine["elements"][name][attr]))
         for name, pair in world["resources"].items():
             for label, value, actual in zip(

@@ -173,6 +173,40 @@ class TestTimeSeriesStore:
         # An exactly-caught-up collector still gets nothing.
         assert st.changed_since({"e1": 2}) == []
 
+    @pytest.mark.parametrize("floor", ["middle", "newest", "above", -1, "absent"])
+    def test_changed_walk_back_equals_brute_force(self, floor):
+        """The drain walks back from the newest row to the ack floor;
+        it must select exactly what filtering every retained row does,
+        on a wrapped ring with gaps in the seqs."""
+        st = TimeSeriesStore(capacity_per_element=5)
+        for i, seq in enumerate((2, 3, 7, 8, 11, 12, 15, 20, 21)):
+            st.append(snap(seq, float(i), rx_pkts=float(i)))
+            st.append(snap(i + 1, float(i), element="e2", rx_pkts=float(i)))
+        held = [s.seq for s in st.changed_since({}) if s.element_id == "e1"]
+        assert held == [11, 12, 15, 20, 21]  # the ring wrapped
+        acked = {
+            "middle": {"e1": 14, "e2": 7},
+            "newest": {"e1": 21, "e2": 9},
+            "above": {"e1": 99, "e2": 3},
+            -1: {"e1": -1},
+            "absent": {},
+        }[floor]
+
+        def brute(element_id, seqs):
+            ack = acked.get(element_id, -1)
+            ack = -1 if seqs[-1] < ack else ack  # a previous incarnation's ack
+            return [q for q in seqs if q > ack]
+
+        everything = st.changed_since({})
+        expected = []
+        for eid in ("e1", "e2"):
+            seqs = [s.seq for s in everything if s.element_id == eid]
+            expected += [(eid, q) for q in brute(eid, seqs)]
+        assert [(s.element_id, s.seq) for s in st.changed_since(acked)] == expected
+        blocks = st.changed_blocks(acked)
+        assert [(b[0], row[0]) for b in blocks for row in b[3]] == expected
+        assert all(b[3] for b in blocks)  # no empty blocks
+
     def test_ring_evicts_oldest(self):
         st = TimeSeriesStore(capacity_per_element=3)
         for i in range(1, 6):

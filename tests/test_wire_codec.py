@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import struct
 import threading
 from contextlib import contextmanager
 
@@ -186,6 +187,89 @@ class TestRoundTripProperty:
         raw = wire_codec.encode_batch_request(client_schema, {"elem0": -1}, None)
         with pytest.raises(ProtocolError, match="non-negative"):
             wire_codec.decode_batch_request(server_schema, raw)
+
+
+class TestSchemaMemo:
+    """Per-connection block-schema memos on both ends of the codec."""
+
+    @staticmethod
+    def frame(server_schema, names, seq, elem="elem0"):
+        block = (elem, "m1", names, [(seq, 0.1 * seq, [float(seq)] * len(names))])
+        return wire_codec.encode_batch_response(
+            server_schema, "m1", [block], {elem: seq}
+        )
+
+    def test_unchanged_schema_decodes_to_the_same_tuple(self):
+        server_schema, client_schema = paired_schemas()
+        names = ("rx_pkts", "tx_pkts", "drops.tun")
+        first = wire_codec.decode_batch_response(
+            client_schema, self.frame(server_schema, names, 1)
+        ).blocks[0][2]
+        for seq in (2, 3):
+            # an equal, distinct tuple on the encoding side: same ids
+            again = wire_codec.decode_batch_response(
+                client_schema, self.frame(server_schema, tuple(list(names)), seq)
+            ).blocks[0][2]
+            assert again is first
+        assert first == names
+
+    def test_widened_schema_gets_a_new_tuple(self):
+        server_schema, client_schema = paired_schemas()
+        names = ("rx_pkts", "tx_pkts")
+        first = wire_codec.decode_batch_response(
+            client_schema, self.frame(server_schema, names, 1)
+        ).blocks[0][2]
+        wider = names + ("drops.new",)
+        widened = wire_codec.decode_batch_response(
+            client_schema, self.frame(server_schema, wider, 2)
+        ).blocks[0][2]
+        assert widened == wider and widened is not first
+        assert wire_codec.decode_batch_response(
+            client_schema, self.frame(server_schema, wider, 3)
+        ).blocks[0][2] is widened
+
+    def test_encode_memo_hit_is_byte_identical(self):
+        server_schema, _ = paired_schemas()
+        names = ("rx_pkts", "drops.tun")
+        self.frame(server_schema, names, 1)
+        hit = self.frame(server_schema, names, 2)
+        server_schema.enc_attrs.clear()
+        assert self.frame(server_schema, names, 2) == hit
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_memo_sizes_bounded_by_element_table(self, seed):
+        rng = random.Random(seed)
+        source = TimeSeriesStore()
+        server_schema, client_schema = paired_schemas()
+        acked: dict = {}
+        for batch in random_sweeps(rng, rounds=30, elements=6):
+            source.extend(batch)
+            blocks, cursor = source.drain_blocks(acked)
+            raw = wire_codec.encode_batch_response(server_schema, "m1", blocks, cursor)
+            acked = wire_codec.decode_batch_response(client_schema, raw).cursor
+            assert len(server_schema.enc_attrs) <= len(server_schema.elements.names)
+            assert len(client_schema.dec_attrs) <= len(client_schema.elements.names)
+        assert client_schema.dec_attrs
+
+    def test_unknown_attr_id_in_a_memoized_block_still_rejected(self):
+        server_schema, client_schema = paired_schemas()
+        names = ("rx_pkts", "tx_pkts")
+        first = wire_codec.decode_batch_response(
+            client_schema, self.frame(server_schema, names, 1)
+        ).blocks[0][2]
+        raw = self.frame(server_schema, names, 2)
+        ids = struct.pack("<2I", *(server_schema.attrs.ids[n] for n in names))
+        # header, empty dictionary, machine id, one cursor entry, block
+        # count, block header: then the block's attr ids
+        at = 4 + 4 + 4 + 4 + 12 + 4 + 10
+        assert raw[at: at + 8] == ids
+        mutated = raw[:at] + struct.pack("<I", 9999) + raw[at + 4:]
+        with pytest.raises(ProtocolError, match="unknown id 9999") as err:
+            wire_codec.decode_batch_response(client_schema, mutated)
+        assert err.value.op == OP_BATCH_DELTA
+        assert err.value.offset == at
+        # the rejected frame left the memo as it was
+        assert wire_codec.decode_batch_response(client_schema, raw).blocks[0][2] is first
 
 
 def valid_response_frame():
